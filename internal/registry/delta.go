@@ -95,14 +95,17 @@ func entryDelta(e *Entry, since int) *statespace.TemplateDelta {
 			Patch:        statespace.CloneTemplate(e.Template),
 		}
 	}
-	patch := statespace.CloneTemplate(e.Template)
-	changed := patch.States[:0]
-	for i, st := range patch.States {
+	// Filter before cloning: a pull or publish costs O(changed states),
+	// not O(map size).
+	meta := *e.Template
+	meta.States = nil
+	patch := statespace.CloneTemplate(&meta)
+	for i, st := range e.Template.States {
 		if e.StateRevs[i] > since {
-			changed = append(changed, st)
+			st.Vector = append([]float64(nil), st.Vector...)
+			patch.States = append(patch.States, st)
 		}
 	}
-	patch.States = changed
 	return &statespace.TemplateDelta{
 		FromRevision: since,
 		ToRevision:   e.Revision,

@@ -271,13 +271,15 @@ func (r *Registry) Len() int {
 	return len(r.entries)
 }
 
-// persist writes the entry to its file via temp-file + rename so readers
-// (and a crash) never observe a torn write. No-op without a Dir.
+// persist writes the entry to its file as compact JSON via temp-file +
+// rename so readers (and a crash) never observe a torn write. Open parses
+// any JSON layout, including the indented files older builds wrote. No-op
+// without a Dir.
 func (r *Registry) persist(e *Entry) error {
 	if r.cfg.Dir == "" {
 		return nil
 	}
-	data, err := json.MarshalIndent(e, "", "  ")
+	data, err := json.Marshal(e)
 	if err != nil {
 		return fmt.Errorf("registry: marshal entry %s: %w", e.Key, err)
 	}

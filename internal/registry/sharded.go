@@ -12,16 +12,16 @@ import (
 	"repro/internal/statespace"
 )
 
-// Sharding. A single Registry serializes every Put behind one mutex and
-// every Put pays an O(states²) merge — fine for a rack, a bottleneck for
-// the ROADMAP's cluster-scale fleet where thousands of hosts push learned
-// maps for many sensitive applications. Sharded splits the store into N
-// independent registries routed by sensitive-app key: templates for
-// different applications never contend on a lock, never share a merge, and
-// persist under separate directories. Routing is a stable hash of the app
-// name, so every server instance — and every restart — sends the same app
-// to the same shard; the shard count is pinned in a marker file because
-// changing it would re-route apps to shards that cannot see their history.
+// Sharding. A single Registry serializes every Put, and the merge it pays,
+// behind one mutex — fine for a rack, a bottleneck for a cluster-scale
+// fleet where thousands of hosts push learned maps for many sensitive
+// applications. Sharded splits the store into N independent registries
+// routed by sensitive-app key: templates for different applications never
+// contend on a lock, never share a merge, and persist under separate
+// directories. Routing is a stable hash of the app name, so every server
+// instance — and every restart — sends the same app to the same shard; the
+// shard count is pinned in a marker file because changing it would
+// re-route apps to shards that cannot see their history.
 
 // shardMarker is the shard-count pin, one per persistence directory.
 const shardMarker = "shards.json"

@@ -66,9 +66,9 @@ func (d *TemplateDelta) Empty() bool {
 	return !d.Full && len(d.Patch.States) == 0
 }
 
-// WriteTo serializes the delta as indented JSON.
+// WriteTo serializes the delta as compact JSON on one line.
 func (d *TemplateDelta) WriteTo(w io.Writer) (int64, error) {
-	data, err := json.MarshalIndent(d, "", "  ")
+	data, err := json.Marshal(d)
 	if err != nil {
 		return 0, fmt.Errorf("statespace: marshal delta: %w", err)
 	}

@@ -2,6 +2,7 @@ package statespace
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/mds"
 	"repro/internal/metrics"
@@ -80,6 +81,11 @@ func MergeTemplates(base, incoming *Template, eps float64) (*Template, error) {
 	if merged.Dim == 0 {
 		merged.Dim = incoming.Dim
 	}
+	// Valid inputs can still overflow (accumulated weights): never hand a
+	// corrupt consensus to the store or a replica.
+	if err := merged.Validate(); err != nil {
+		return nil, fmt.Errorf("statespace: merged template: %w", err)
+	}
 	return merged, nil
 }
 
@@ -116,9 +122,9 @@ func AlignStates(base, incoming *Template, eps float64) ([]TemplateState, error)
 // coordinates rewritten (the slice is owned by the caller).
 func alignOnto(baseStates, inStates []TemplateState, eps float64) ([]TemplateState, error) {
 	var src, dst []mds.Coord
+	ix := newVecIndex(baseStates, eps)
 	for _, in := range inStates {
-		j, d := NearestStateByVector(baseStates, in.Vector)
-		if j >= 0 && d <= eps {
+		if j, _ := ix.nearest(in.Vector); j >= 0 {
 			src = append(src, mds.Coord{X: in.X, Y: in.Y})
 			dst = append(dst, mds.Coord{X: baseStates[j].X, Y: baseStates[j].Y})
 		}
@@ -130,6 +136,10 @@ func alignOnto(baseStates, inStates []TemplateState, eps float64) ([]TemplateSta
 		}
 		for i := range inStates {
 			p := tr.Apply(mds.Coord{X: inStates[i].X, Y: inStates[i].Y})
+			if math.IsNaN(p.X) || math.IsInf(p.X, 0) || math.IsNaN(p.Y) || math.IsInf(p.Y, 0) {
+				return nil, fmt.Errorf("statespace: aligning templates: state %d maps to non-finite coordinates: %w",
+					i, ErrCorruptTemplate)
+			}
 			inStates[i].X, inStates[i].Y = p.X, p.Y
 		}
 	}
@@ -140,21 +150,24 @@ func alignOnto(baseStates, inStates []TemplateState, eps float64) ([]TemplateSta
 // consensus state: earlier states seed the representative set so an
 // established fleet map stays stable; later states either fold into a
 // representative — accumulating weight, upgrading the label to Violation
-// if either contributor saw one — or join as new states.
+// if either contributor saw one — or join as new states. Each state folds
+// into its nearest representative within eps (ties to the earliest), found
+// through an ε-cell index, so the pass is linear in len(states) for maps
+// whose states are spread out.
 func DedupeStates(states []TemplateState, eps float64) []TemplateState {
-	var reps []TemplateState
+	ix := newVecIndex(nil, eps)
 	for _, st := range states {
-		j, d := NearestStateByVector(reps, st.Vector)
-		if j >= 0 && d <= eps {
-			reps[j].Weight += st.Weight
+		if j, _ := ix.nearest(st.Vector); j >= 0 {
+			rep := &ix.states[j]
+			rep.Weight += st.Weight
 			if st.Label == Violation.String() {
-				reps[j].Label = st.Label
+				rep.Label = st.Label
 			}
 			continue
 		}
-		reps = append(reps, st)
+		ix.add(st)
 	}
-	return reps
+	return ix.states
 }
 
 // MergeRanges unions the two templates' normalization ranges, taking the
@@ -229,21 +242,4 @@ func CloneTemplate(t *Template) *Template {
 		cp.Ranges[m] = r
 	}
 	return &cp
-}
-
-// NearestStateByVector returns the index and vector distance of the state
-// in states whose vector is closest to vec, or (-1, 0) when states is
-// empty or no state shares vec's dimension.
-func NearestStateByVector(states []TemplateState, vec []float64) (int, float64) {
-	best, bestD := -1, 0.0
-	for i, st := range states {
-		if len(st.Vector) != len(vec) {
-			continue
-		}
-		d := mds.Euclidean(st.Vector, vec)
-		if best < 0 || d < bestD {
-			best, bestD = i, d
-		}
-	}
-	return best, bestD
 }

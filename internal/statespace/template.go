@@ -243,9 +243,11 @@ func Import(t *Template) (*Space, error) {
 	return s, nil
 }
 
-// WriteTo serializes the template as indented JSON.
+// WriteTo serializes the template as compact JSON on one line.
+// ReadTemplate accepts any JSON layout, so indented files written by
+// older builds still load.
 func (t *Template) WriteTo(w io.Writer) (int64, error) {
-	data, err := json.MarshalIndent(t, "", "  ")
+	data, err := json.Marshal(t)
 	if err != nil {
 		return 0, fmt.Errorf("statespace: marshal template: %w", err)
 	}
