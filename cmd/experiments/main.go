@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -61,40 +62,21 @@ func run() error {
 	outDir := flag.String("o", "", "directory to write per-figure text files into")
 	flag.Parse()
 
-	gens := map[int]func(int64) (*experiments.Figure, error){
-		1:  experiments.Fig01,
-		4:  func(int64) (*experiments.Figure, error) { return experiments.Fig04() },
-		5:  experiments.Fig05,
-		6:  experiments.Fig06,
-		7:  experiments.Fig07,
-		8:  experiments.Fig08,
-		9:  experiments.Fig09,
-		10: experiments.Fig10,
-		11: experiments.Fig11,
-		12: experiments.Fig12,
-		13: experiments.Fig13,
-		14: experiments.Fig14,
-		15: experiments.Fig15,
-		16: experiments.Fig16,
-		17: func(s int64) (*experiments.Figure, error) { f, _, err := experiments.Fig17(s); return f, err },
-		18: experiments.Fig18,
-	}
-	order := []int{1, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18}
-
-	var wanted []int
+	var wanted []experiments.PaperFigure
 	switch {
 	case *all:
-		wanted = order
+		wanted = experiments.Figures
 	case *figList != "":
 		for _, part := range strings.Split(*figList, ",") {
 			n, err := strconv.Atoi(strings.TrimSpace(part))
 			if err != nil {
 				return fmt.Errorf("bad figure number %q", part)
 			}
-			if _, ok := gens[n]; !ok {
+			i := slices.IndexFunc(experiments.Figures, func(pf experiments.PaperFigure) bool { return pf.N == n })
+			if i < 0 {
 				return fmt.Errorf("unknown figure %d", n)
 			}
-			wanted = append(wanted, n)
+			wanted = append(wanted, experiments.Figures[i])
 		}
 	case *summary || *ablations || *chaosSuite || *reloadChaos || *multiTenant || *schedAblation || *fleetConv || *scenarios:
 		// handled below
@@ -117,10 +99,10 @@ func run() error {
 		return nil
 	}
 
-	for _, n := range wanted {
-		f, err := gens[n](*seed)
+	for _, pf := range wanted {
+		f, err := pf.Gen(*seed)
 		if err != nil {
-			return fmt.Errorf("figure %d: %w", n, err)
+			return fmt.Errorf("figure %d: %w", pf.N, err)
 		}
 		if err := emit(f); err != nil {
 			return err

@@ -164,8 +164,8 @@ func laneJSON(defs ...[3]string) string {
 // TestDaemonReloadLifecycle drives the full zero-downtime story against a
 // live daemon: start with one lane, SIGHUP to two, reject a bad config
 // without disturbing the running set, shrink back via POST /v1/reload,
-// and SIGTERM — then inspect the tree: nothing left frozen, every lane's
-// learned state flushed.
+// rename the last lane on its cgroup, and SIGTERM — then inspect the
+// tree: nothing left frozen, every lane's learned state flushed.
 func TestDaemonReloadLifecycle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns a daemon subprocess")
@@ -231,6 +231,15 @@ func TestDaemonReloadLifecycle(t *testing.T) {
 		return code == http.StatusOK && len(s.Lanes) == 1 && s.Lanes[0].App == "kv"
 	})
 
+	// Rename the lane on its cgroup: exactly one lane keeps it protected.
+	writeFileT(t, lanesPath, laneJSON([3]string{"kv-store", "s/kv", kvQoS}))
+	if err := p.cmd.Process.Signal(syscall.SIGHUP); err != nil {
+		t.Fatal(err)
+	}
+	readyz(t, p, func(code int, s daemon.Status) bool {
+		return code == http.StatusOK && s.Ready && len(s.Lanes) == 1 && s.Lanes[0].App == "kv-store"
+	})
+
 	// Graceful shutdown.
 	if err := p.cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
@@ -245,8 +254,8 @@ func TestDaemonReloadLifecycle(t *testing.T) {
 	}
 
 	// Inspect: nothing frozen, no lingering quota, learned state on disk
-	// for the removed lane (flushed at removal) and the surviving one
-	// (flushed at shutdown).
+	// for the removed and renamed-away lanes (flushed at removal) and the
+	// surviving one (flushed at shutdown).
 	for _, g := range []string{"s/b1", "s/b2"} {
 		data, err := os.ReadFile(filepath.Join(root, g, "cgroup.freeze"))
 		if err != nil {
@@ -256,7 +265,7 @@ func TestDaemonReloadLifecycle(t *testing.T) {
 			t.Errorf("%s left frozen (%q) after graceful shutdown", g, got)
 		}
 	}
-	for _, app := range []string{"vlc", "kv"} {
+	for _, app := range []string{"vlc", "kv", "kv-store"} {
 		ck := filepath.Join(stateDir, "checkpoint-"+app+".json")
 		if _, err := os.Stat(ck); err != nil {
 			t.Errorf("missing checkpoint for %s: %v", app, err)

@@ -275,38 +275,6 @@ func (o options) validate() (cgroupMode bool, err error) {
 	return cgroupMode, errors.Join(errs...)
 }
 
-// laneSpec is one protected application's daemon-side wiring.
-type laneSpec struct {
-	app     string            // fleet-wide application name
-	group   string            // collector group name (= Config.SensitiveID)
-	qos     procenv.QoSSource // the application's QoS report channel
-	sig     *procenv.AppSignals
-	lane    *core.Lane
-	ckPath  string // per-lane checkpoint file ("" = no crash safety)
-	syncer  *fleet.Syncer
-	stream  *fleet.StreamSyncer // non-nil in -stream mode
-	seq     uint64              // EventsSince cursor for the report drain
-	hubSeq  uint64              // independent cursor for the admin SSE publisher
-	def     daemon.LaneDef      // declarative source (lanes-file mode only)
-	periods int
-	viols   int
-	merges  int // fleet deltas folded into the live map
-	merged  core.MergeStats
-}
-
-// The daemon's own admin metrics, distinct from the fleet sync counters
-// written by -metrics-file.
-const (
-	metricReloads   = "stayaway_daemon_reloads_total"
-	helpReloads     = "Hot reload attempts by result."
-	metricPeriods   = "stayaway_daemon_periods_total"
-	helpPeriods     = "Completed control periods."
-	metricLanes     = "stayaway_daemon_lanes"
-	helpLanes       = "Protection lanes currently running."
-	metricLaneLevel = "stayaway_daemon_lane_level"
-	helpLaneLevel   = "Lane's current batch allowance (1 free, 0 frozen)."
-)
-
 // templateOutPath derives the per-lane export path: a single lane writes
 // base verbatim; several write base with "-<app>" before the extension.
 func templateOutPath(base, app string, multi bool) string {
@@ -315,6 +283,28 @@ func templateOutPath(base, app string, multi bool) string {
 	}
 	ext := filepath.Ext(base)
 	return strings.TrimSuffix(base, ext) + "-" + app + ext
+}
+
+// cgroupLanes is the loop's lane hook in cgroup mode: a lane's sensitive
+// cgroup becomes a collector group (named after its path) and its QoS
+// report is a file.
+type cgroupLanes struct {
+	collector *cgroup.Collector
+	env       *procenv.HostEnv
+}
+
+func (c cgroupLanes) AddGroup(group string) error {
+	return c.collector.AddGroup(cgroup.Group{Name: group, Path: group})
+}
+
+func (c cgroupLanes) RemoveGroup(group string) { c.collector.RemoveGroup(group) }
+
+func (c cgroupLanes) Signals(group, qosFile string) (core.LaneSignals, error) {
+	sig, err := c.env.Signals(group, procenv.FileQoS{Path: qosFile})
+	if err != nil {
+		return nil, err
+	}
+	return sig, nil
 }
 
 func run() error {
@@ -418,50 +408,50 @@ func run() error {
 	// sources, positionally aligned. A single sensitive keeps the legacy
 	// group name "sensitive" (checkpoint/template schema compatibility);
 	// several use their cgroup paths as group names.
-	var lanes []*laneSpec
+	var lanes []*daemon.Lane
+	var qosSources []procenv.QoSSource
 	if cgroupMode {
 		// Lanes-file mode always uses cgroup-path group names, even with a
 		// single lane: the set can grow live, and a mid-run switch from the
 		// legacy "sensitive" name would break the measurement schema.
 		multi := len(opts.sensCgroups) > 1 || lanesDecl != nil
 		for i, cg := range opts.sensCgroups {
-			spec := &laneSpec{group: "sensitive", app: "sensitive"}
+			ln := &daemon.Lane{Group: "sensitive", App: "sensitive"}
 			if multi {
-				spec.group = cg
-				spec.app = cg
+				ln.Group = cg
+				ln.App = cg
 			}
 			if len(opts.apps) > i {
-				spec.app = opts.apps[i]
+				ln.App = opts.apps[i]
 			}
+			if lanesDecl != nil {
+				ln.Def = lanesDecl[i]
+			}
+			// Recover-only gives no QoS files: nothing is learned, and a
+			// static non-violating source satisfies the contract.
+			qos := procenv.QoSSource(procenv.StaticQoS{Value: 1, Threshold: 0})
 			if len(opts.qosFiles) > i {
-				spec.qos = procenv.FileQoS{Path: opts.qosFiles[i]}
-			} else {
-				// Recover-only: nothing is learned, a static non-violating
-				// source satisfies the contract.
-				spec.qos = procenv.StaticQoS{Value: 1, Threshold: 0}
+				qos = procenv.FileQoS{Path: opts.qosFiles[i]}
 			}
-			lanes = append(lanes, spec)
+			lanes = append(lanes, ln)
+			qosSources = append(qosSources, qos)
 		}
 	} else if !opts.recoverOnly {
-		spec := &laneSpec{group: "sensitive", app: "sensitive"}
+		ln := &daemon.Lane{Group: "sensitive", App: "sensitive"}
 		if len(opts.apps) > 0 {
-			spec.app = opts.apps[0]
+			ln.App = opts.apps[0]
 		}
-		if len(opts.qosFiles) > 0 {
-			spec.qos = procenv.FileQoS{Path: opts.qosFiles[0]}
-		} else {
-			spec.qos = procenv.StaticQoS{Value: 1, Threshold: 0}
-		}
-		lanes = append(lanes, spec)
+		lanes = append(lanes, ln)
+		qosSources = append(qosSources, procenv.FileQoS{Path: opts.qosFiles[0]})
 	}
 
 	var (
-		henv      *procenv.HostEnv
-		batchIDs  []string // the IDs the throttle controller actuates
-		act       throttle.Actuator
-		release   func() error // final cleanup: never leave batch work throttled
-		watching  string
-		collector *cgroup.Collector // cgroup mode only; hot reload adds/removes groups
+		henv     *procenv.HostEnv
+		batchIDs []string // the IDs the throttle controller actuates
+		act      throttle.Actuator
+		release  func() error // final cleanup: never leave batch work throttled
+		watching string
+		laneHook daemon.LaneHook // cgroup mode only: hot reload adds/removes groups
 	)
 
 	if cgroupMode {
@@ -484,8 +474,8 @@ func run() error {
 		// telemetry side is only assembled for a real control run.
 		if !opts.recoverOnly {
 			var groups []cgroup.Group
-			for _, spec := range lanes {
-				groups = append(groups, cgroup.Group{Name: spec.group, Path: spec.group})
+			for _, ln := range lanes {
+				groups = append(groups, cgroup.Group{Name: ln.Group, Path: ln.Group})
 			}
 			if len(lanes) == 1 && lanesDecl == nil {
 				// Legacy layout: group "sensitive" at the configured path.
@@ -494,7 +484,7 @@ func run() error {
 			for _, cg := range opts.batchCgroups {
 				groups = append(groups, cgroup.Group{Name: cg, Path: cg})
 			}
-			collector, err = cgroup.NewCollector(cfs, groups)
+			collector, err := cgroup.NewCollector(cfs, groups)
 			if err != nil {
 				return err
 			}
@@ -502,6 +492,7 @@ func run() error {
 			if err != nil {
 				return err
 			}
+			laneHook = cgroupLanes{collector: collector, env: henv}
 			// Probe up front so the operator learns at startup — not mid-
 			// incident — whether actuation will use cgroup controls or degrade
 			// to signals.
@@ -566,12 +557,12 @@ func run() error {
 		if err := os.MkdirAll(*stateDir, 0o755); err != nil {
 			return fmt.Errorf("-state-dir: %v", err)
 		}
-		for _, spec := range lanes {
-			spec.ckPath = resilience.LaneCheckpointPath(*stateDir, spec.app)
+		for _, ln := range lanes {
+			ln.CheckpointPath = resilience.LaneCheckpointPath(*stateDir, ln.App)
 		}
 		if len(lanes) == 1 && lanesDecl == nil {
 			// Legacy single-tenant layout.
-			lanes[0].ckPath = filepath.Join(*stateDir, "checkpoint.json")
+			lanes[0].CheckpointPath = filepath.Join(*stateDir, "checkpoint.json")
 		}
 		ledger, err = resilience.OpenLedger(filepath.Join(*stateDir, "ledger.json"))
 		if err != nil {
@@ -637,11 +628,13 @@ func run() error {
 		}
 		return cfg
 	}
-	for _, spec := range lanes {
-		if spec.sig, err = henv.Signals(spec.group, spec.qos); err != nil {
+	for i, ln := range lanes {
+		sig, err := henv.Signals(ln.Group, qosSources[i])
+		if err != nil {
 			return err
 		}
-		if spec.lane, err = host.AddLane(laneConfig(spec.group, spec.app), spec.sig); err != nil {
+		ln.Signals = sig
+		if ln.Core, err = host.AddLane(laneConfig(ln.Group, ln.App), sig); err != nil {
 			return err
 		}
 	}
@@ -662,20 +655,20 @@ func run() error {
 	// incompatible one is logged and ignored — losing learned state is
 	// recoverable, refusing to start is not.
 	restored := make(map[string]bool)
-	for _, spec := range lanes {
-		if spec.ckPath == "" {
+	for _, ln := range lanes {
+		if ln.CheckpointPath == "" {
 			continue
 		}
-		switch ck, err := resilience.LoadCheckpoint(spec.ckPath); {
+		switch ck, err := resilience.LoadCheckpoint(ln.CheckpointPath); {
 		case err != nil:
-			fmt.Fprintf(os.Stderr, "stayawayd: %s: checkpoint unreadable, starting cold: %v\n", spec.app, err)
+			fmt.Fprintf(os.Stderr, "stayawayd: %s: checkpoint unreadable, starting cold: %v\n", ln.App, err)
 		case ck != nil:
-			if err := spec.lane.RestoreCheckpoint(ck); err != nil {
-				fmt.Fprintf(os.Stderr, "stayawayd: %s: checkpoint rejected, starting cold: %v\n", spec.app, err)
+			if err := ln.Core.RestoreCheckpoint(ck); err != nil {
+				fmt.Fprintf(os.Stderr, "stayawayd: %s: checkpoint rejected, starting cold: %v\n", ln.App, err)
 			} else {
-				restored[spec.app] = true
+				restored[ln.App] = true
 				fmt.Printf("stayawayd: %s: restored checkpoint (%d periods of learning, %d states)\n",
-					spec.app, ck.Periods, len(ck.Template.States))
+					ln.App, ck.Periods, len(ck.Template.States))
 			}
 		}
 	}
@@ -697,43 +690,43 @@ func run() error {
 			}
 		}
 		hostSync = fleet.NewHostSyncer(client, hostName)
-		for _, spec := range lanes {
-			spec.syncer = hostSync.Lane(spec.app)
-			if restored[spec.app] {
+		for _, ln := range lanes {
+			ln.Syncer = hostSync.Lane(ln.App)
+			if restored[ln.App] {
 				// The local checkpoint is this host's own learned map;
 				// adopting the fleet template would discard it. Keep the
 				// local state and let the periodic pushes reconcile.
-				fmt.Printf("stayawayd: %s: checkpoint restored; skipping fleet bootstrap\n", spec.app)
+				fmt.Printf("stayawayd: %s: checkpoint restored; skipping fleet bootstrap\n", ln.App)
 				continue
 			}
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			tpl, rev, err := spec.syncer.Bootstrap(ctx)
+			tpl, rev, err := ln.Syncer.Bootstrap(ctx)
 			cancel()
 			switch {
 			case err != nil:
-				fmt.Fprintf(os.Stderr, "stayawayd: %s: registry bootstrap failed, starting cold: %v\n", spec.app, err)
+				fmt.Fprintf(os.Stderr, "stayawayd: %s: registry bootstrap failed, starting cold: %v\n", ln.App, err)
 			case tpl == nil:
-				fmt.Printf("stayawayd: registry has no template for %q yet, learning from scratch\n", spec.app)
+				fmt.Printf("stayawayd: registry has no template for %q yet, learning from scratch\n", ln.App)
 			default:
-				if err := spec.lane.ImportTemplate(tpl); err != nil {
-					fmt.Fprintf(os.Stderr, "stayawayd: %s: fleet template rejected, starting cold: %v\n", spec.app, err)
+				if err := ln.Core.ImportTemplate(tpl); err != nil {
+					fmt.Fprintf(os.Stderr, "stayawayd: %s: fleet template rejected, starting cold: %v\n", ln.App, err)
 				} else {
 					fmt.Printf("stayawayd: bootstrapped %q from fleet revision %d (%d states)\n",
-						spec.app, rev, len(tpl.States))
+						ln.App, rev, len(tpl.States))
 				}
 			}
 		}
 		// Streaming mode: each lane follows the registry's push stream so a
 		// violation learned on another host reaches this one within a
 		// control period — instead of at -sync-every cadence. The stream
-		// goroutines only STASH deltas; the loop below takes and merges them
-		// at period boundaries, so the live map is never touched mid-period.
+		// goroutines only STASH deltas; the loop takes and merges them at
+		// period boundaries, so the live map is never touched mid-period.
 		if *streamMode {
 			var streamCtx context.Context
 			streamCtx, streamCancel = context.WithCancel(context.Background())
 			defer streamCancel()
-			for _, spec := range lanes {
-				ss, err := hostSync.StartStream(streamCtx, spec.app, fleet.StreamSyncerConfig{
+			for _, ln := range lanes {
+				ss, err := hostSync.StartStream(streamCtx, ln.App, fleet.StreamSyncerConfig{
 					Logf: func(format string, args ...any) {
 						if *verbose {
 							fmt.Fprintf(os.Stderr, "stayawayd: "+format+"\n", args...)
@@ -745,8 +738,8 @@ func run() error {
 				}
 				// The bootstrap pull (if any) already applied this revision;
 				// the stream must not re-deliver it.
-				ss.MarkApplied(spec.syncer.LastRevision())
-				spec.stream = ss
+				ss.MarkApplied(ln.Syncer.LastRevision())
+				ln.Stream = ss
 			}
 			fmt.Printf("stayawayd: streaming fleet updates for %d lane(s)\n", len(lanes))
 		}
@@ -759,54 +752,46 @@ func run() error {
 		s.LedgerRecovered = ledgerRecovered
 		s.LedgerRecoveryError = ledgerRecoveryErr
 	})
-	var (
-		hub          *stream.Hub
-		adminMetrics *stream.MetricSet
-		adminSrv     *http.Server
-		reloader     *daemon.Reloader
-		lanesWatch   *daemon.Watcher
-	)
+	loop := &daemon.Loop{
+		Config: daemon.Config{
+			Period:          *period,
+			SyncEvery:       *syncEvery,
+			CheckpointEvery: *checkpointEvery,
+			WatchdogGrace:   *watchdogGrace,
+			Verbose:         *verbose,
+		},
+		Host:        host,
+		Env:         henv,
+		Release:     release,
+		Lanes:       lanes,
+		Board:       board,
+		Hook:        laneHook,
+		LaneConfig:  laneConfig,
+		StateDir:    *stateDir,
+		Fleet:       hostSync,
+		MetricsFile: *metricsFile,
+		Out:         os.Stdout,
+		Err:         os.Stderr,
+	}
 	if *lanesFile != "" {
-		reloader = daemon.NewReloader(*lanesFile, lanesDecl, opts.batchCgroups)
-		for i := range lanes {
-			lanes[i].def = lanesDecl[i]
-		}
+		loop.Reloader = daemon.NewReloader(*lanesFile, lanesDecl, opts.batchCgroups)
 		if *reloadWatch {
-			lanesWatch = daemon.NewWatcher(*lanesFile)
+			loop.Watcher = daemon.NewWatcher(*lanesFile)
 		}
 	}
+	var adminSrv *http.Server
 	if *adminAddr != "" {
-		hub = stream.NewHub(stream.HubConfig{Epoch: time.Now().UnixNano()})
-		defer hub.Close()
-		adminMetrics = stream.NewMetricSet()
-	}
-	// queueReload is phase one of a hot reload, shared by SIGHUP, the
-	// watcher and POST /v1/reload: validate and stage, or reject with the
-	// running set untouched.
-	queueReload := func(source string) error {
-		err := reloader.Queue()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "stayawayd: reload (%s) rejected, keeping running config: %v\n", source, err)
-			if adminMetrics != nil {
-				adminMetrics.Counter(metricReloads, helpReloads, "result", "rejected").Add(1)
-			}
-			if hub != nil {
-				hub.Publish(daemon.ReloadEvent(daemon.ReloadOutcome{Rejected: err.Error()}))
-			}
-			return err
-		}
-		fmt.Printf("stayawayd: reload (%s) validated, applying at next period boundary\n", source)
-		return nil
-	}
-	if *adminAddr != "" {
+		loop.Hub = stream.NewHub(stream.HubConfig{Epoch: time.Now().UnixNano()})
+		defer loop.Hub.Close()
+		loop.Metrics = stream.NewMetricSet()
 		var reloadHook func() error
-		if reloader != nil {
-			reloadHook = func() error { return queueReload("POST /v1/reload") }
+		if loop.Reloader != nil {
+			reloadHook = func() error { return loop.QueueReload("POST /v1/reload") }
 		}
 		admin, err := daemon.NewAdmin(daemon.AdminConfig{
 			Board:   board,
-			Hub:     hub,
-			Metrics: adminMetrics,
+			Hub:     loop.Hub,
+			Metrics: loop.Metrics,
 			Reload:  reloadHook,
 			Key:     fleetKeyBytes,
 			Logf: func(format string, args ...any) {
@@ -831,444 +816,32 @@ func run() error {
 		fmt.Printf("stayawayd: admin surface on http://%s\n", ln.Addr())
 	}
 
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, syscall.SIGINT, syscall.SIGTERM)
+	// SIGINT/SIGTERM end the loop; SIGHUP queues a hot reload.
+	ctx, stopSignals := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	defer stopSignals()
 	hup := make(chan os.Signal, 1)
 	signal.Notify(hup, syscall.SIGHUP)
+	defer signal.Stop(hup)
+	go func() {
+		for {
+			select {
+			case <-ctx.Done():
+				return
+			case <-hup:
+				loop.QueueReload("SIGHUP")
+			}
+		}
+	}()
 	ticker := time.NewTicker(*period)
 	defer ticker.Stop()
 
-	if *syncEvery <= 0 {
-		*syncEvery = 30
-	}
-	multi := len(lanes) > 1
-	sync := func(spec *laneSpec, throttled bool) {
-		if spec.syncer == nil {
-			return
-		}
-		if spec.lane.Space().Len() > 0 {
-			if err := spec.syncer.PushTemplate(spec.lane.ExportTemplate(spec.app)); err != nil {
-				fmt.Fprintln(os.Stderr, "stayawayd: registry push failed (degraded, continuing):", err)
-			}
-		}
-		if err := spec.syncer.Heartbeat(fleet.Heartbeat{
-			Periods: spec.periods, Violations: spec.viols, Throttled: throttled,
-		}); err == nil {
-			if degraded, _ := spec.syncer.Degraded(); !degraded && *verbose {
-				fmt.Printf("stayawayd: %s: registry sync ok, revision %d\n", spec.app, spec.syncer.LastRevision())
-			}
-		}
-	}
-
-	// The adopt step runs at the top of each tick — between periods — and
-	// folds any delta the stream goroutines have stashed into the lane's
-	// live map. A rejected merge (schema drift, corrupt patch) is logged
-	// and skipped: the revision cursor stays put, so the next poll
-	// re-fetches an authoritative delta rather than silently losing fleet
-	// state.
-	adopt := func() {
-		for _, spec := range lanes {
-			if spec.stream == nil {
-				continue
-			}
-			d := spec.stream.TakeUpdate()
-			if d == nil {
-				continue
-			}
-			stats, err := spec.lane.MergeTemplate(d.Patch)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "stayawayd: %s: fleet delta rejected: %v\n", spec.app, err)
-				continue
-			}
-			spec.stream.MarkApplied(d.ToRevision)
-			spec.merges++
-			spec.merged.Added += stats.Added
-			spec.merged.Upgraded += stats.Upgraded
-			spec.merged.Matched += stats.Matched
-			if *verbose || stats.Upgraded > 0 || stats.Added > 0 {
-				fmt.Printf("stayawayd: %s: merged fleet revision %d (+%d states, %d upgraded, %d matched)\n",
-					spec.app, d.ToRevision, stats.Added, stats.Upgraded, stats.Matched)
-			}
-		}
-	}
-
-	writeMetrics := func() {
-		if *metricsFile == "" || hostSync == nil {
-			return
-		}
-		if err := fsatomic.WriteFileFunc(*metricsFile, 0o644, hostSync.WriteMetrics); err != nil {
-			fmt.Fprintf(os.Stderr, "stayawayd: metrics-file: %v\n", err)
-		}
-	}
-
-	// Hot-reload lane operations. All three run on the loop goroutine at a
-	// period boundary — the only place the host runtime allows mutation.
-	addLane := func(d daemon.LaneDef) (*laneSpec, error) {
-		group := d.SensitiveCgroup
-		if err := collector.AddGroup(cgroup.Group{Name: group, Path: group}); err != nil {
-			return nil, err
-		}
-		qos := procenv.FileQoS{Path: d.QoSFile}
-		sig, err := henv.Signals(group, qos)
-		if err != nil {
-			collector.RemoveGroup(group)
-			return nil, err
-		}
-		lane, err := host.AddLane(laneConfig(group, d.Name()), sig)
-		if err != nil {
-			collector.RemoveGroup(group)
-			return nil, err
-		}
-		spec := &laneSpec{app: d.Name(), group: group, qos: qos, sig: sig, lane: lane, def: d}
-		if *stateDir != "" {
-			spec.ckPath = resilience.LaneCheckpointPath(*stateDir, spec.app)
-			// A lane removed earlier and re-added resumes its learning.
-			if ck, err := resilience.LoadCheckpoint(spec.ckPath); err == nil && ck != nil {
-				if err := lane.RestoreCheckpoint(ck); err == nil {
-					fmt.Printf("stayawayd: %s: restored checkpoint (%d periods of learning)\n", spec.app, ck.Periods)
-				}
-			}
-		}
-		if hostSync != nil {
-			spec.syncer = hostSync.Lane(spec.app)
-		}
-		lanes = append(lanes, spec)
-		return spec, nil
-	}
-	changeLane := func(spec *laneSpec, d daemon.LaneDef) (bool, error) {
-		group := d.SensitiveCgroup
-		if group != spec.group {
-			// The sensitive cgroup moved: register the new telemetry group
-			// first so the replacement lane's first collection sees its
-			// real source.
-			if err := collector.AddGroup(cgroup.Group{Name: group, Path: group}); err != nil {
-				return false, err
-			}
-		}
-		qos := procenv.FileQoS{Path: d.QoSFile}
-		sig, err := henv.Signals(group, qos)
-		if err == nil {
-			var lane *core.Lane
-			var carried bool
-			lane, carried, err = host.ReconfigureLane(laneConfig(group, d.Name()), sig)
-			if err == nil {
-				if group != spec.group {
-					collector.RemoveGroup(spec.group)
-				}
-				spec.group, spec.qos, spec.sig, spec.lane, spec.def = group, qos, sig, lane, d
-				// The replacement lane's event ring restarts at sequence 0.
-				spec.seq, spec.hubSeq = 0, 0
-				return carried, nil
-			}
-		}
-		if group != spec.group {
-			collector.RemoveGroup(group) // roll back; the old lane runs on
-		}
-		return false, err
-	}
-	removeLane := func(spec *laneSpec) error {
-		lane, err := host.RemoveLane(spec.app)
-		// The lane is out of the arbiter's merge even on error (removal is
-		// fail-safe); what follows is best-effort bookkeeping.
-		if lane != nil && lane.Space().Len() > 0 {
-			if spec.ckPath != "" {
-				if ckErr := resilience.SaveCheckpoint(spec.ckPath, lane.Checkpoint()); ckErr != nil {
-					fmt.Fprintf(os.Stderr, "stayawayd: %s: departing checkpoint: %v\n", spec.app, ckErr)
-				}
-			}
-			if spec.syncer != nil {
-				// Share the freshest map before the lane disappears.
-				if pushErr := spec.syncer.PushTemplate(lane.ExportTemplate(spec.app)); pushErr != nil {
-					fmt.Fprintf(os.Stderr, "stayawayd: %s: departing push: %v\n", spec.app, pushErr)
-				}
-			}
-		}
-		collector.RemoveGroup(spec.group)
-		for i, cur := range lanes {
-			if cur == spec {
-				lanes = append(lanes[:i], lanes[i+1:]...)
-				break
-			}
-		}
-		return err
-	}
-
-	// applyReload is phase two of a hot reload, run at a period boundary:
-	// take the staged config, diff it against what is running, apply adds
-	// before changes before removes — the shared pool is never left less
-	// protected than both configs agree on — and commit the set that is
-	// actually running afterwards, so a failed add surfaces as drift in
-	// ReloadStatus instead of being papered over.
-	applyReload := func() {
-		if reloader == nil {
-			return
-		}
-		desired, gen, ok := reloader.TakePending()
-		if !ok {
-			return
-		}
-		diff := reloader.Diff(desired)
-		if diff.Empty() {
-			reloader.Commit(gen, desired)
-			return
-		}
-		fmt.Printf("stayawayd: reload gen %d: applying %s\n", gen, diff)
-		byApp := make(map[string]*laneSpec, len(lanes))
-		for _, spec := range lanes {
-			byApp[spec.app] = spec
-		}
-		publishLane := func(c daemon.LaneChange) {
-			if hub != nil {
-				hub.Publish(daemon.LaneEvent(c))
-			}
-		}
-		for _, d := range diff.Add {
-			spec, err := addLane(d)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "stayawayd: reload: add %s: %v\n", d.Name(), err)
-				publishLane(daemon.LaneChange{Op: "add", App: d.Name(), Error: err.Error()})
-				continue
-			}
-			byApp[spec.app] = spec
-			fmt.Printf("stayawayd: reload: added lane %s (cgroup %s)\n", spec.app, d.SensitiveCgroup)
-			publishLane(daemon.LaneChange{Op: "add", App: spec.app})
-		}
-		for _, d := range diff.Change {
-			spec := byApp[d.Name()]
-			if spec == nil {
-				continue
-			}
-			carried, err := changeLane(spec, d)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "stayawayd: reload: change %s rejected, lane keeps its old config: %v\n", d.Name(), err)
-				publishLane(daemon.LaneChange{Op: "change", App: d.Name(), Error: err.Error()})
-				continue
-			}
-			fmt.Printf("stayawayd: reload: reconfigured lane %s (state carried: %v)\n", spec.app, carried)
-			publishLane(daemon.LaneChange{Op: "change", App: spec.app, Carried: carried})
-		}
-		for _, name := range diff.Remove {
-			spec := byApp[name]
-			if spec == nil {
-				continue
-			}
-			errStr := ""
-			if err := removeLane(spec); err != nil {
-				fmt.Fprintf(os.Stderr, "stayawayd: reload: remove %s: %v\n", name, err)
-				errStr = err.Error()
-			} else {
-				fmt.Printf("stayawayd: reload: removed lane %s\n", name)
-			}
-			delete(byApp, name)
-			publishLane(daemon.LaneChange{Op: "remove", App: name, Error: errStr})
-		}
-		applied := make([]daemon.LaneDef, 0, len(lanes))
-		for _, spec := range lanes {
-			applied = append(applied, spec.def)
-		}
-		reloader.Commit(gen, applied)
-		multi = len(lanes) > 1
-		if adminMetrics != nil {
-			adminMetrics.Counter(metricReloads, helpReloads, "result", "applied").Add(1)
-		}
-		if hub != nil {
-			hub.Publish(daemon.ReloadEvent(daemon.ReloadOutcome{Generation: gen, Diff: diff.String()}))
-		}
-	}
-
-	// The watchdog runs beside the loop: if periods stop completing (a
-	// hung cgroupfs read blocks the collector, say), it thaws everything
-	// from its own goroutine — the stalled loop cannot.
-	var wd *resilience.Watchdog
-	if *watchdogGrace > 0 {
-		wd, err = resilience.NewWatchdog(resilience.WatchdogConfig{
-			Period: *period,
-			Grace:  *watchdogGrace,
-			OnStall: func(since time.Duration) {
-				fmt.Fprintf(os.Stderr, "stayawayd: watchdog: no completed period for %v, thawing everything\n", since)
-				// Flip readiness from here: the stalled loop cannot
-				// publish its own bad news.
-				board.Update(func(s *daemon.Status) {
-					s.WatchdogStalled = true
-					s.WatchdogStalls++
-				})
-				if err := release(); err != nil {
-					fmt.Fprintln(os.Stderr, "stayawayd: watchdog release:", err)
-				}
-			},
-		})
-		if err != nil {
-			return err
-		}
-		wdCtx, wdCancel := context.WithCancel(context.Background())
-		defer wdCancel()
-		go wd.Run(wdCtx)
-	}
-
-	if *checkpointEvery <= 0 {
-		*checkpointEvery = 30
-	}
-	checkpoint := func() {
-		for _, spec := range lanes {
-			if spec.ckPath == "" || spec.lane.Space().Len() == 0 {
-				continue
-			}
-			if err := resilience.SaveCheckpoint(spec.ckPath, spec.lane.Checkpoint()); err != nil {
-				fmt.Fprintf(os.Stderr, "stayawayd: %s: checkpoint: %v\n", spec.app, err)
-			}
-		}
-	}
-
-	// The report drain: each lane's events come out of its bounded ring
-	// buffer via the since-sequence cursor, so a slow or bursty reporting
-	// path can never make the daemon's memory grow with uptime.
-	drain := func() {
-		for _, spec := range lanes {
-			var evs []core.Event
-			evs, spec.seq = spec.lane.EventsSince(spec.seq)
-			for _, ev := range evs {
-				spec.periods++
-				if ev.Violation {
-					spec.viols++
-				}
-				if *verbose || ev.Violation || ev.Action != throttle.ActionNone {
-					if multi {
-						fmt.Printf("[%s] %s\n", spec.app, ev)
-					} else {
-						fmt.Println(ev)
-					}
-				}
-			}
-		}
-	}
-
 	fmt.Printf("stayawayd: monitoring %s every %v (%d lane(s))\n", watching, *period, len(lanes))
-	// The loop body runs under a recover barrier so that even a panic in
-	// the runtime falls through to the release below — a crashing daemon
-	// must never strand batch workloads frozen. (SIGKILL still can; that
-	// is what the ledger replay at next boot is for.)
-	var periods int
-	// publish pushes the period's outcome to the admin surface: the status
-	// board for /readyz, the hub for /v1/events subscribers (via each
-	// lane's independent hubSeq cursor, so the report drain above and the
-	// SSE feed never fight over one cursor), and the admin metric set.
-	publish := func() {
-		if hub != nil {
-			for _, spec := range lanes {
-				var evs []core.Event
-				evs, spec.hubSeq = spec.lane.EventsSince(spec.hubSeq)
-				for _, ev := range evs {
-					hub.Publish(daemon.PeriodEvent(ev))
-				}
-			}
-		}
-		health := host.Health()
-		var wdStalled bool
-		var wdStalls int
-		if wd != nil {
-			wdStalled, wdStalls, _, _ = wd.Status()
-		}
-		var rs daemon.ReloadStatus
-		if reloader != nil {
-			rs = reloader.Status()
-		}
-		board.Update(func(s *daemon.Status) {
-			s.Ready = true
-			s.Periods = periods
-			s.Lanes = health
-			s.WatchdogStalled = wdStalled
-			s.WatchdogStalls = wdStalls
-			s.Reload = rs
-		})
-		if adminMetrics != nil {
-			adminMetrics.Counter(metricPeriods, helpPeriods).Add(1)
-			adminMetrics.Gauge(metricLanes, helpLanes).Set(float64(len(lanes)))
-			for _, lh := range health {
-				adminMetrics.Gauge(metricLaneLevel, helpLaneLevel, "app", lh.App).Set(lh.Level)
-			}
-		}
-	}
-	loopErr := func() (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("control loop panic: %v", r)
-			}
-		}()
-	loop:
-		for {
-			select {
-			case <-stop:
-				break loop
-			case <-hup:
-				if reloader == nil {
-					fmt.Fprintln(os.Stderr, "stayawayd: SIGHUP ignored: hot reload needs -lanes-file")
-					continue
-				}
-				queueReload("SIGHUP")
-			case <-ticker.C:
-				if lanesWatch != nil && lanesWatch.Changed() {
-					queueReload("watch")
-				}
-				applyReload()
-				adopt()
-				evs, err := host.Period()
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "stayawayd: period:", err)
-					continue
-				}
-				if wd != nil {
-					wd.Beat()
-				}
-				periods++
-				drain()
-				publish()
-				if periods%*syncEvery == 0 {
-					for i, spec := range lanes {
-						sync(spec, evs[i].Throttled)
-					}
-					writeMetrics()
-				}
-				if periods%*checkpointEvery == 0 {
-					checkpoint()
-				}
-				anySensitive := false
-				for _, spec := range lanes {
-					if spec.sig.SensitiveRunning() {
-						anySensitive = true
-						break
-					}
-				}
-				if !henv.BatchActive() && !anySensitive {
-					fmt.Println("stayawayd: all monitored workloads exited")
-					break loop
-				}
-			}
-		}
-		return nil
-	}()
+	loopErr := loop.Run(ctx, ticker.C)
 
-	// Graceful drain: take every lane out through the arbiter's merge —
-	// the same fail-safe path a live removal uses — so each departing
-	// batch restriction is released exactly once and the final release
-	// below is a backstop, not the primary thaw. Skipped after a panic:
-	// mid-period invariants cannot be trusted, the raw thaw handles it.
-	if loopErr == nil {
-		for _, spec := range lanes {
-			if _, err := host.RemoveLane(spec.app); err != nil {
-				fmt.Fprintf(os.Stderr, "stayawayd: drain %s: %v\n", spec.app, err)
-			}
-		}
-	}
-	// Never leave batch workloads throttled on exit — including after a
-	// panic absorbed above.
-	if err := release(); err != nil {
-		fmt.Fprintln(os.Stderr, "stayawayd: final release:", err)
-	}
-	board.Update(func(s *daemon.Status) { s.Ready = false })
 	if adminSrv != nil {
 		// Closing the hub first unblocks SSE handlers so Shutdown can
 		// finish within its grace window.
-		hub.Close()
+		loop.Hub.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 		if err := adminSrv.Shutdown(ctx); err != nil {
 			adminSrv.Close()
@@ -1280,38 +853,14 @@ func run() error {
 		hostSync.Wait()
 	}
 	if loopErr != nil {
-		// No final checkpoint after a panic: mid-period invariants cannot
-		// be trusted, and a corrupt checkpoint is worse than a stale one.
 		return loopErr
 	}
-	checkpoint()
-	drain()
-	for _, spec := range lanes {
-		// Share the freshest map with the fleet before exiting.
-		sync(spec, false)
-		if multi {
-			fmt.Printf("--- %s ---\n", spec.app)
-		}
-		fmt.Println(spec.lane.Report())
-		if spec.stream != nil {
-			st := spec.stream.Stats()
-			fmt.Printf("fleet stream: %d merges (%d states adopted, %d upgraded, %d matched), "+
-				"%d events, %d reconnects, %d fallback polls\n",
-				spec.merges, spec.merged.Added, spec.merged.Upgraded, spec.merged.Matched,
-				st.Events, st.Reconnects, st.Polls)
-		}
-	}
-	writeMetrics()
-	if hostSync != nil {
-		for app, err := range hostSync.Degraded() {
-			fmt.Fprintf(os.Stderr, "stayawayd: %s: exiting out of sync with the registry: %v\n", app, err)
-		}
-	}
 	if *templateOut != "" {
-		for _, spec := range lanes {
-			path := templateOutPath(*templateOut, spec.app, multi)
+		multi := len(loop.Lanes) > 1
+		for _, ln := range loop.Lanes {
+			path := templateOutPath(*templateOut, ln.App, multi)
 			err := fsatomic.WriteFileFunc(path, 0o644, func(w io.Writer) error {
-				_, err := spec.lane.ExportTemplate(spec.app).WriteTo(w)
+				_, err := ln.Core.ExportTemplate(ln.App).WriteTo(w)
 				return err
 			})
 			if err != nil {

@@ -97,15 +97,18 @@ func TestSummarySpread(t *testing.T) {
 }
 
 func TestAllFigures(t *testing.T) {
-	figs, err := AllFigures(figSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(figs) != 16 {
-		t.Fatalf("figures = %d, want 16", len(figs))
+	if len(Figures) != 16 {
+		t.Fatalf("figures = %d, want 16", len(Figures))
 	}
 	seen := map[string]bool{}
-	for _, f := range figs {
+	for i, pf := range Figures {
+		if i > 0 && pf.N <= Figures[i-1].N {
+			t.Errorf("figure %d listed after figure %d", pf.N, Figures[i-1].N)
+		}
+		f, err := pf.Gen(figSeed)
+		if err != nil {
+			t.Fatalf("figure %d: %v", pf.N, err)
+		}
 		if f.ID == "" || f.Text == "" {
 			t.Errorf("figure %q incomplete", f.ID)
 		}

@@ -66,26 +66,21 @@ func Summary(seed int64) (*Figure, error) {
 	}, nil
 }
 
-// AllFigures runs every figure in order and returns them. Fig17's template
-// is regenerated inside Fig18; callers that need the template itself
-// should call Fig17 directly.
-func AllFigures(seed int64) ([]*Figure, error) {
-	type gen func(int64) (*Figure, error)
-	gens := []gen{
-		Fig01,
-		func(int64) (*Figure, error) { return Fig04() },
-		Fig05, Fig06, Fig07, Fig08, Fig09, Fig10, Fig11, Fig12, Fig13,
-		Fig14, Fig15, Fig16,
-		func(s int64) (*Figure, error) { f, _, err := Fig17(s); return f, err },
-		Fig18,
-	}
-	out := make([]*Figure, 0, len(gens))
-	for _, g := range gens {
-		f, err := g(seed)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, f)
-	}
-	return out, nil
+// PaperFigure is one reproduced figure of the paper: its number and its
+// generator.
+type PaperFigure struct {
+	N   int
+	Gen func(seed int64) (*Figure, error)
+}
+
+// Figures lists every reproduced paper figure, in paper order. Fig17's
+// template is regenerated inside Fig18; callers that need the template
+// itself call Fig17 directly.
+var Figures = []PaperFigure{
+	{1, Fig01},
+	{4, func(int64) (*Figure, error) { return Fig04() }},
+	{5, Fig05}, {6, Fig06}, {7, Fig07}, {8, Fig08}, {9, Fig09}, {10, Fig10},
+	{11, Fig11}, {12, Fig12}, {13, Fig13}, {14, Fig14}, {15, Fig15}, {16, Fig16},
+	{17, func(s int64) (*Figure, error) { f, _, err := Fig17(s); return f, err }},
+	{18, Fig18},
 }

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/core"
+	"repro/internal/daemon"
 	"repro/internal/experiments"
 	"repro/internal/fleet"
 	"repro/internal/metrics"
@@ -210,7 +211,8 @@ func TestE2ETemplateSharedAcrossHosts(t *testing.T) {
 	}
 }
 
-// e2eEnv scripts a minimal core.Environment: a sensitive container under
+// e2eEnv scripts a minimal one-lane host (core.HostEnvironment and
+// core.LaneSignals): a sensitive container under
 // growing batch pressure, violating QoS above a CPU threshold.
 type e2eEnv struct {
 	tick int
@@ -256,47 +258,46 @@ func TestE2ERegistryOutageMidRun(t *testing.T) {
 	syncer := fleet.NewSyncer(client, "host-a", "web")
 
 	cfg := core.DefaultConfig("web", []string{"b1"}, metrics.DefaultRanges(4, 4096, 200, 1000))
-	rt, err := core.New(cfg, &e2eEnv{}, throttle.NewRecordingActuator())
+	env := &e2eEnv{}
+	host, err := core.NewHost(env, throttle.NewRecordingActuator())
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := core.NewServer(rt)
+	lane, err := host.AddLane(cfg, env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.Sink = syncer
-	srv.SyncEvery = 5
-	done := make(chan struct{})
-	srv.OnEvent = func(core.Event) { done <- struct{}{} }
-
+	board := daemon.NewBoard()
+	loop := &daemon.Loop{
+		Config:  daemon.Config{SyncEvery: 5},
+		Host:    host,
+		Env:     env,
+		Release: host.Release,
+		Board:   board,
+		Lanes:   []*daemon.Lane{{App: "web", Group: "web", Core: lane, Signals: env, Syncer: syncer}},
+	}
 	ticks := make(chan time.Time)
-	if err := srv.Start(context.Background(), ticks); err != nil {
-		t.Fatal(err)
-	}
-	// Each step waits for the period to complete, so assertions after
-	// step() observe a quiescent loop.
+	done := make(chan error, 1)
+	go func() { done <- loop.Run(context.Background(), ticks) }()
+	// A tick is received only once the previous period has finished, so
+	// after step(n) every period but the last one sent is complete.
 	step := func(n int) {
 		for i := 0; i < n; i++ {
 			ticks <- time.Time{}
-			<-done
 		}
 	}
 
-	// Healthy phase: two sync points (periods 5 and 10) pass. The loop
-	// pushes after OnEvent, so phases end off the sync cadence — the two
-	// trailing ticks guarantee the last push settled before the gate flips.
+	// Healthy phase: two sync points (periods 5 and 10) pass; period 12
+	// is still running when the gate flips, and it syncs nothing.
 	step(12)
 	// Outage strikes mid-run: pushes at periods 15 and 20 fail.
 	gate.setDown(true)
 	step(10)
-	if _, periods, err := srv.Snapshot(); err != nil || periods != 22 {
-		t.Fatalf("loop did not keep controlling through the outage: periods=%d err=%v", periods, err)
+	if s := board.Snapshot(); s.Periods < 21 || !s.Ready {
+		t.Fatalf("loop did not keep controlling through the outage: periods=%d ready=%v", s.Periods, s.Ready)
 	}
 	if degraded, lastErr := syncer.Degraded(); !degraded || lastErr == nil {
 		t.Error("outage not reflected in syncer state")
-	}
-	if _, failures, syncErr := srv.SyncStatus(); failures == 0 || syncErr == nil {
-		t.Error("outage not reflected in server sync status")
 	}
 
 	// Recovery: the push at period 25 resyncs without any intervention,
@@ -304,14 +305,16 @@ func TestE2ERegistryOutageMidRun(t *testing.T) {
 	gate.setDown(false)
 	step(3)
 	close(ticks)
-	srv.Wait()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
 
 	if degraded, _ := syncer.Degraded(); degraded {
 		t.Error("syncer still degraded after recovery")
 	}
-	syncs, failures, syncErr := srv.SyncStatus()
-	if syncs < 3 || failures != 2 || syncErr != nil {
-		t.Errorf("sync status = %d ok / %d failed / err %v, want ≥3 ok, 2 failed, nil", syncs, failures, syncErr)
+	// Each failed sync point failed both its push and its heartbeat.
+	if pushes, failures := syncer.Stats(); pushes < 3 || failures != 4 {
+		t.Errorf("syncer stats = %d ok / %d failed, want ≥3 ok, 4 failed", pushes, failures)
 	}
 	entry, ok := reg.Get("web", "")
 	if !ok {
@@ -323,7 +326,7 @@ func TestE2ERegistryOutageMidRun(t *testing.T) {
 	if len(entry.Template.States) == 0 {
 		t.Error("registry holds an empty map")
 	}
-	if rt.Report().Periods != 25 {
-		t.Errorf("runtime periods = %d, want 25", rt.Report().Periods)
+	if lane.Report().Periods != 25 {
+		t.Errorf("lane periods = %d, want 25", lane.Report().Periods)
 	}
 }

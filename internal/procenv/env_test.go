@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-func newTestEnv(t *testing.T, qos QoSSource) (*Environment, string) {
+func newTestEnv(t *testing.T, qos QoSSource) (*HostEnv, *AppSignals, string) {
 	t.Helper()
 	root := t.TempDir()
 	writeFakeProc(t, root, 100, "sensitive", 'R', 0, 0, 1024, 0, 0)
@@ -18,39 +18,47 @@ func newTestEnv(t *testing.T, qos QoSSource) (*Environment, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env, err := NewEnvironment(c, "svc", []string{"jobs"}, qos)
+	env, err := NewHostEnv(c, []string{"jobs"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return env, root
+	sig, err := env.Signals("svc", qos)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return env, sig, root
 }
 
-func TestNewEnvironmentValidation(t *testing.T) {
+func TestNewHostEnvValidation(t *testing.T) {
 	root := t.TempDir()
 	c, err := NewCollector(root, 100, []Group{{Name: "svc"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewEnvironment(nil, "svc", nil, StaticQoS{}); err == nil {
+	if _, err := NewHostEnv(nil, nil); err == nil {
 		t.Error("nil collector should error")
 	}
-	if _, err := NewEnvironment(c, "svc", nil, nil); err == nil {
+	if _, err := NewHostEnv(c, []string{"ghost"}); err == nil {
+		t.Error("unknown batch group should error")
+	}
+	env, err := NewHostEnv(c, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := env.Signals("svc", nil); err == nil {
 		t.Error("nil QoS source should error")
 	}
-	if _, err := NewEnvironment(c, "ghost", nil, StaticQoS{}); err == nil {
+	if _, err := env.Signals("ghost", StaticQoS{}); err == nil {
 		t.Error("unknown sensitive group should error")
-	}
-	if _, err := NewEnvironment(c, "svc", []string{"ghost"}, StaticQoS{}); err == nil {
-		t.Error("unknown batch group should error")
 	}
 }
 
 func TestEnvironmentRoles(t *testing.T) {
-	env, root := newTestEnv(t, StaticQoS{Value: 1, Threshold: 0.9})
-	if !env.SensitiveRunning() || !env.BatchRunning() || !env.BatchActive() {
+	env, sig, root := newTestEnv(t, StaticQoS{Value: 1, Threshold: 0.9})
+	if !sig.SensitiveRunning() || !env.BatchRunning() || !env.BatchActive() {
 		t.Error("both groups should be running")
 	}
-	if env.QoSViolation() {
+	if sig.QoSViolation() {
 		t.Error("value 1 ≥ threshold 0.9: no violation")
 	}
 	samples := env.Collect()
@@ -69,24 +77,16 @@ func TestEnvironmentRoles(t *testing.T) {
 }
 
 func TestEnvironmentViolation(t *testing.T) {
-	env, root := newTestEnv(t, StaticQoS{Value: 0.5, Threshold: 0.9})
-	if !env.QoSViolation() {
+	_, sig, root := newTestEnv(t, StaticQoS{Value: 0.5, Threshold: 0.9})
+	if !sig.QoSViolation() {
 		t.Error("value 0.5 < threshold 0.9: violation expected")
 	}
 	// A dead sensitive process never violates (there is nothing to protect).
 	if err := os.RemoveAll(filepath.Join(root, "100")); err != nil {
 		t.Fatal(err)
 	}
-	if env.QoSViolation() {
-		t.Error("no sensitive process: no violation")
-	}
-}
-
-func TestEnvironmentBatchPIDs(t *testing.T) {
-	env, _ := newTestEnv(t, StaticQoS{})
-	pids := env.BatchPIDs()
-	if len(pids) != 1 || pids[0] != "200" {
-		t.Errorf("batch PIDs = %v, want [200]", pids)
+	if sig.QoSViolation() || !sig.QoSFresh() {
+		t.Error("no sensitive process: no violation, and no silent report channel")
 	}
 }
 

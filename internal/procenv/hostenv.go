@@ -86,8 +86,9 @@ func (e *HostEnv) Signals(sensitiveGroup string, qos QoSSource) (*AppSignals, er
 }
 
 // AppSignals is one application's view of the shared host: its own run
-// state and QoS channel. Mirrors Environment's freshness semantics — a
-// missing or unparsable report is remembered as silence.
+// state and QoS channel. A missing or unparsable report is remembered as
+// silence (core.QoSFreshness), so the lane can treat a prolonged quiet
+// stretch as a stale signal rather than a healthy application.
 type AppSignals struct {
 	collector Sampler
 	group     string
@@ -103,6 +104,8 @@ var (
 // QoSViolation implements core.LaneSignals.
 func (s *AppSignals) QoSViolation() bool {
 	if !s.SensitiveRunning() {
+		// No sensitive application means no reports are expected; that is
+		// not the reporting channel going silent.
 		s.qosFresh = true
 		return false
 	}

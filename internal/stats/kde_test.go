@@ -6,32 +6,26 @@ import (
 	"testing"
 )
 
-func TestSilvermanBandwidth(t *testing.T) {
-	if got := SilvermanBandwidth(nil); got <= 0 {
-		t.Errorf("bandwidth of nil = %v, want positive floor", got)
-	}
-	if got := SilvermanBandwidth([]float64{5}); got <= 0 {
-		t.Errorf("bandwidth of singleton = %v, want positive floor", got)
-	}
-	if got := SilvermanBandwidth([]float64{2, 2, 2}); got <= 0 {
-		t.Errorf("bandwidth of constant = %v, want positive floor", got)
-	}
-	// Known value: sd of {1..5} sample variance 2.5, sd≈1.5811, n=5.
-	want := 1.06 * math.Sqrt(2.5) * math.Pow(5, -0.2)
-	if got := SilvermanBandwidth([]float64{1, 2, 3, 4, 5}); !almostEqual(got, want, 1e-9) {
-		t.Errorf("bandwidth = %v, want %v", got, want)
-	}
-}
-
 func TestKDEEmptyEvaluatesZero(t *testing.T) {
-	k := NewKDE(nil, 0)
+	// A KDE holding no samples has no bandwidth either; it must read
+	// zero rather than divide by it.
+	k := &KDE{}
 	if got := k.Evaluate(0); got != 0 {
 		t.Errorf("empty KDE at 0 = %v, want 0", got)
+	}
+	_, ys := k.Grid(-1, 1, 3)
+	for i, y := range ys {
+		if y != 0 {
+			t.Errorf("empty KDE grid[%d] = %v, want 0", i, y)
+		}
 	}
 }
 
 func TestKDEPeaksAtData(t *testing.T) {
-	k := NewKDE([]float64{0, 0, 0, 0, 10}, 0.5)
+	h := mustHistogram(t, -0.5, 10.5, 11)
+	h.AddWeighted(0, 4)
+	h.Add(10)
+	k := NewKDEFromHistogram(h, 0.5)
 	if k.Evaluate(0) <= k.Evaluate(5) {
 		t.Error("density at cluster should exceed density between clusters")
 	}
@@ -45,11 +39,11 @@ func TestKDEPeaksAtData(t *testing.T) {
 
 func TestKDEIntegratesToOne(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	samples := make([]float64, 200)
-	for i := range samples {
-		samples[i] = rng.NormFloat64()
+	h := mustHistogram(t, -5, 5, 40)
+	for i := 0; i < 200; i++ {
+		h.Add(rng.NormFloat64())
 	}
-	k := NewKDE(samples, 0)
+	k := NewKDEFromHistogram(h, 0)
 	// Trapezoid integration over a wide range.
 	const n = 4000
 	lo, hi := -10.0, 10.0
@@ -97,7 +91,11 @@ func TestKDEFromEmptyHistogram(t *testing.T) {
 }
 
 func TestKDEGrid(t *testing.T) {
-	k := NewKDE([]float64{1, 2, 3}, 0.5)
+	h := mustHistogram(t, 0.5, 3.5, 3)
+	for _, x := range []float64{1, 2, 3} {
+		h.Add(x)
+	}
+	k := NewKDEFromHistogram(h, 0.5)
 	xs, ys := k.Grid(0, 4, 9)
 	if len(xs) != 9 || len(ys) != 9 {
 		t.Fatalf("grid lengths = %d,%d; want 9,9", len(xs), len(ys))

@@ -12,58 +12,6 @@ type Sampler interface {
 	Sample(rng *rand.Rand) float64
 }
 
-// HistogramSampler draws from a histogram via the inverse-transform method:
-// a uniform u in [0,1) is pushed through the histogram's inverse CDF. This
-// is exactly the mechanism the paper describes for generating candidate
-// future states from the learned step/angle distributions.
-type HistogramSampler struct {
-	h *Histogram
-}
-
-var _ Sampler = (*HistogramSampler)(nil)
-
-// NewHistogramSampler wraps h. The sampler reads h lazily, so observations
-// added to h after construction are reflected in subsequent draws.
-func NewHistogramSampler(h *Histogram) *HistogramSampler {
-	return &HistogramSampler{h: h}
-}
-
-// Sample draws one value.
-func (s *HistogramSampler) Sample(rng *rand.Rand) float64 {
-	return s.h.InverseCDF(rng.Float64())
-}
-
-// SampleN draws n values into a fresh slice.
-func (s *HistogramSampler) SampleN(rng *rand.Rand, n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = s.Sample(rng)
-	}
-	return out
-}
-
-// EmpiricalSampler resamples uniformly from a fixed set of observed values
-// (a bootstrap draw). It is the fallback trajectory model when too few
-// observations exist to justify a histogram.
-type EmpiricalSampler struct {
-	values []float64
-}
-
-var _ Sampler = (*EmpiricalSampler)(nil)
-
-// NewEmpiricalSampler copies values. An empty set samples 0.
-func NewEmpiricalSampler(values []float64) *EmpiricalSampler {
-	return &EmpiricalSampler{values: append([]float64(nil), values...)}
-}
-
-// Sample draws one of the stored values uniformly at random.
-func (s *EmpiricalSampler) Sample(rng *rand.Rand) float64 {
-	if len(s.values) == 0 {
-		return 0
-	}
-	return s.values[rng.Intn(len(s.values))]
-}
-
 // UniformSampler draws uniformly from [Lo, Hi]. It models the
 // maximum-uncertainty cold start before any trajectory has been observed.
 type UniformSampler struct {
